@@ -4,38 +4,30 @@ The paper's headline numbers are *exact-distance evaluation counts*; the
 whole cost model collapses if one code path evaluates a measure without
 charging the counter or the context store.  Retrieval and serving code
 therefore must never call ``<measure>.compute*`` on a raw measure: every
-exact evaluation goes through a ``CountingDistance`` wrapper, a
-``DistanceContext`` (store hits are free, misses are charged exactly once)
-or the product of ``split_counting`` (whose peeled counters the parent
-charges itself).
+exact evaluation goes through a binding (``ContextBinding`` over a
+``DistanceContext`` — store hits are free, misses are charged exactly
+once — or ``NominalBinding`` over a ``CountingDistance``).  Peeling
+counters with ``split_counting`` is the distance layer's business
+(``parallel_refine``, ``DistanceContext``), never retrieval's.
 
 The rule flags ``X.compute(...)`` / ``X.compute_many(...)`` /
 ``X.compute_pairs(...)`` inside ``repro/retrieval/`` and
-``repro/index/serving.py`` unless the receiver is visibly accounted:
-
-* its dotted name mentions ``counting`` / ``context`` / ``binding``
-  (``self._counting.compute_many`` — the wrapper charges), or
-* it was produced by ``split_counting`` in the same scope
-  (``inner, counters = split_counting(...)`` — the caller charges the
-  peeled counters, the documented parallel-path contract).
+``repro/index/serving.py`` unless the receiver's dotted name mentions
+``counting`` / ``context`` / ``binding`` (``self.counting.compute_many`` —
+the wrapper charges).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator
+from typing import Iterator
 
 from repro.analysis.core import (
     Finding,
     ModuleContext,
     Rule,
-    call_name,
     dotted_name,
-    iter_scopes,
     register_rule,
-    resolve_origin,
-    scope_assignments,
-    walk_scope,
 )
 
 COMPUTE_METHODS = {"compute", "compute_many", "compute_pairs"}
@@ -49,16 +41,6 @@ def _in_scope(module: ModuleContext) -> bool:
     return "repro/retrieval/" in posix or posix.endswith("repro/index/serving.py")
 
 
-def _from_split_counting(expr: ast.expr, assignments: Dict[str, ast.expr]) -> bool:
-    origin = resolve_origin(expr, assignments)
-    if isinstance(origin, ast.Subscript):
-        origin = origin.value
-    if isinstance(origin, ast.Call):
-        name = call_name(origin)
-        return name is not None and name.split(".")[-1] == "split_counting"
-    return False
-
-
 @register_rule
 class AccountingRule(Rule):
     """RP002: exact-distance calls in retrieval/serving must be accounted."""
@@ -68,8 +50,8 @@ class AccountingRule(Rule):
     severity = "error"
     description = (
         "Exact-distance calls in retrieval/serving code must route through a "
-        "CountingDistance, a DistanceContext/ContextBinding, or the product "
-        "of split_counting — a raw <measure>.compute*() there bypasses the "
+        "binding (ContextBinding / NominalBinding), a CountingDistance or a "
+        "DistanceContext — a raw <measure>.compute*() there bypasses the "
         "cost accounting the paper's numbers are built on."
     )
 
@@ -78,35 +60,26 @@ class AccountingRule(Rule):
         return _in_scope(module)
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        """Flag unaccounted ``X.compute*()`` calls per scope."""
-        module_assignments = scope_assignments(module.tree)
-        for scope in iter_scopes(module.tree):
-            assignments = dict(module_assignments)
-            if scope is not module.tree:
-                assignments.update(scope_assignments(scope))
-            for node in walk_scope(scope):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                if func.attr not in COMPUTE_METHODS:
-                    continue
-                receiver = func.value
-                name = dotted_name(receiver)
-                if name is not None and any(
-                    fragment in name.lower() for fragment in ACCOUNTED_FRAGMENTS
-                ):
-                    continue
-                if _from_split_counting(receiver, assignments):
-                    continue
-                shown = name if name is not None else "<expression>"
-                yield module.finding(
-                    self,
-                    node,
-                    f"direct {shown}.{func.attr}() in retrieval/serving code "
-                    "bypasses cost accounting: evaluate through the counting "
-                    "wrapper / DistanceContext (store-aware, charged once) or "
-                    "the inner measure returned by split_counting, charging "
-                    "the peeled counters in the parent.",
-                )
+        """Flag unaccounted ``X.compute*()`` calls."""
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not isinstance(func, ast.Attribute):
+                continue
+            if func.attr not in COMPUTE_METHODS:
+                continue
+            name = dotted_name(func.value)
+            if name is not None and any(
+                fragment in name.lower() for fragment in ACCOUNTED_FRAGMENTS
+            ):
+                continue
+            shown = name if name is not None else "<expression>"
+            yield module.finding(
+                self,
+                node,
+                f"direct {shown}.{func.attr}() in retrieval/serving code "
+                "bypasses cost accounting: evaluate through the refine "
+                "stage's binding (store-aware through a DistanceContext, "
+                "every pair charged otherwise).",
+            )

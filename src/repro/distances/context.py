@@ -602,10 +602,10 @@ class PendingDistances:
     refine chunks on a :class:`~repro.index.pool.PersistentPool` while the
     parent moves on) and then calls
     :meth:`DistanceContext.complete_distances` to store the fresh values,
-    charge the evaluation counter and obtain the filled value array.  This
-    is exactly the per-query planning step of
-    :meth:`DistanceContext.distances_to_many`, reified so the async serving
-    layer can overlap the compute with other parent work.
+    charge the evaluation counters and obtain the filled value array.
+    Every store-aware request of the context runs through this plan —
+    :meth:`DistanceContext.distances_to_many` completes it right away, the
+    async serving layer overlaps the compute with other parent work.
 
     The optional ``in_flight`` mapping carries the batch-dedup semantics
     across pending resolutions: a pair another pending resolution is
@@ -649,8 +649,9 @@ class PendingDistances:
         self.deferred: List[Tuple[int, int, "PendingDistances"]] = []
         #: Store keys this resolution registered in the in-flight map.
         self.owned_keys: List[Tuple[int, int]] = []
-        #: key → value for pairs this resolution computed (set on
-        #: completion; outlives bounded-store eviction for dependents).
+        #: key → value for pairs this resolution computed, kept on
+        #: completion only when other resolutions deferred onto it (it
+        #: outlives bounded-store eviction for those dependents).
         self.computed: Dict[Tuple[int, int], float] = {}
         #: How many other pending resolutions deferred onto this one (the
         #: serving layer refuses to cancel while nonzero).
@@ -739,6 +740,9 @@ class DistanceContext(DistanceMeasure):
             raise DistanceError("distance must be a DistanceMeasure instance")
         self.base = distance
         self.counting = CountingDistance(distance)
+        # Misses are evaluated with the innermost measure (in the parent or
+        # on the pool) and complete_distances charges every peeled counter.
+        self._inner, self._counters = split_counting(self.counting)
         self.name = f"context({distance.name})"
         self.is_metric = distance.is_metric
         self.objects = list(objects)
@@ -835,6 +839,17 @@ class DistanceContext(DistanceMeasure):
     def reset_evaluations(self) -> int:
         """Reset the evaluation counter, returning the previous total."""
         return self.counting.reset()
+
+    def worker_measure(self) -> DistanceMeasure:
+        """The measure pool workers evaluate missing pairs with.
+
+        The base measure with every top-level counter peeled off —
+        :meth:`complete_distances` charges those in the parent — after the
+        chain is checked with
+        :func:`~repro.distances.parallel.ensure_parallel_safe`.
+        """
+        ensure_parallel_safe(self.counting)
+        return self._inner
 
     def _pool_for(self, n_workers: int) -> Optional[Any]:
         """The persistent pool to run an ``n_workers`` fan-out on, if any.
@@ -982,52 +997,51 @@ class DistanceContext(DistanceMeasure):
         self.store.merge(loaded)
 
     # -- core evaluation ------------------------------------------------
+    #
+    # Every store-aware distance request runs the same three steps:
+    # resolve_distances (store hits, dedup, deferral onto in-flight work),
+    # _evaluate (the misses, serially or on the pool) and
+    # complete_distances (store the fresh values, charge the counters,
+    # fill the deferred positions).  The serving layer runs the steps
+    # itself so the evaluation can overlap other parent work.
 
-    def _values_for(
-        self,
-        query_obj: Any,
-        query_index: Optional[int],
-        target_indices: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
-        """Distances from one object to universe targets, via the store.
+    def _evaluate(
+        self, pendings: Sequence[PendingDistances], n_workers: int = 1
+    ) -> List[Optional[np.ndarray]]:
+        """Base-measure values for each resolution's missing pairs.
 
-        Returns ``(values, n_computed)``; cached pairs are free, missing
-        pairs are evaluated with one batched ``compute_many`` call (charged
-        on :attr:`counting`) and recorded when ``query_index`` is known.
+        One inner ``compute_many`` per resolution with misses, or one
+        :func:`~repro.distances.parallel.parallel_refine` call on the
+        context's pool when more than one worker is asked for (none when
+        nothing misses).  Nothing is charged here:
+        :meth:`complete_distances` charges every counter.
         """
-        target_indices = np.asarray(target_indices, dtype=int)
-        values = np.empty(target_indices.size, dtype=float)
-        if target_indices.size == 0:
-            return values, 0
-        if query_index is None:
-            values[:] = self.counting.compute_many(
-                query_obj, [self.objects[int(j)] for j in target_indices]
+        fresh: List[Optional[np.ndarray]] = [None] * len(pendings)
+        if n_workers <= 1:
+            for slot, pending in enumerate(pendings):
+                if pending.miss_targets:
+                    fresh[slot] = self._inner.compute_many(
+                        pending.obj, [self.objects[j] for j in pending.miss_targets]
+                    )
+            return fresh
+        items = [
+            (slot, pending.obj, 0, np.asarray(pending.miss_targets, dtype=int))
+            for slot, pending in enumerate(pendings)
+            if pending.miss_targets
+        ]
+        if items:
+            by_slot = parallel_refine(
+                self._inner, [self.objects], items, n_workers,
+                pool=self._pool_for(n_workers),
             )
-            return values, int(target_indices.size)
-        pending: List[Tuple[int, int]] = []
-        miss_slot: Dict[int, int] = {}
-        miss_targets: List[int] = []
-        for pos, j in enumerate(target_indices):
-            j = int(j)
-            cached = self.store.get(query_index, j)
-            if cached is not None:
-                values[pos] = cached
-                continue
-            if j not in miss_slot:
-                miss_slot[j] = len(miss_targets)
-                miss_targets.append(j)
-            pending.append((pos, j))
-        if miss_targets:
-            fresh = self.counting.compute_many(
-                query_obj, [self.objects[j] for j in miss_targets]
-            )
-            for j, slot in miss_slot.items():
-                self.store.put(query_index, j, float(fresh[slot]))
-            # Fill from the computed batch, not the store: a bounded store
-            # may already have evicted the earliest entries of this batch.
-            for pos, j in pending:
-                values[pos] = float(fresh[miss_slot[j]])
-        return values, len(miss_targets)
+            for slot, values in by_slot.items():
+                fresh[slot] = values
+        return fresh
+
+    def _resolve_now(self, obj: Any, target_indices: Sequence[int]) -> Tuple[np.ndarray, int]:
+        """Resolve, evaluate and complete one request in the parent."""
+        pending = self.resolve_distances(obj, target_indices)
+        return self.complete_distances(pending, self._evaluate([pending])[0])
 
     def distances_to(self, obj: Any, target_indices: Sequence[int]) -> np.ndarray:
         """Distances from ``obj`` to the universe objects at ``target_indices``.
@@ -1035,7 +1049,7 @@ class DistanceContext(DistanceMeasure):
         Argument order matches ``D_X(obj, target)`` everywhere, so
         asymmetric measures (with ``symmetric=False`` stores) stay correct.
         """
-        values, _ = self._values_for(obj, self.index_of(obj), target_indices)
+        values, _ = self._resolve_now(obj, target_indices)
         return values
 
     def distances_to_many(
@@ -1046,11 +1060,12 @@ class DistanceContext(DistanceMeasure):
     ) -> Tuple[List[np.ndarray], List[int]]:
         """Batched :meth:`distances_to` over many (query, targets) pairs.
 
-        This is the primitive the retrieval pipelines fan out on: the
-        parent resolves store hits, ships only the missing index pairs to
-        worker processes, merges the returned entries back into the parent
-        store, and charges the counters one evaluation per computed pair.
-        Returns ``(values_list, computed_counts)`` aligned with the input.
+        This is the primitive the retrieval pipelines refine through: the
+        parent resolves store hits, evaluates only the missing pairs (over
+        the pool when ``n_jobs`` asks for more than one worker and the
+        batch has more than one query), stores them, and charges the
+        counters one evaluation per computed pair.  Returns
+        ``(values_list, computed_counts)`` aligned with the input.
         """
         objects = list(objects)
         if len(objects) != len(target_indices_lists):
@@ -1059,110 +1074,32 @@ class DistanceContext(DistanceMeasure):
             )
         n_workers = resolve_jobs(self.n_jobs if n_jobs is None else n_jobs)
         if n_workers <= 1 or len(objects) <= 1:
-            values_list: List[np.ndarray] = []
-            counts: List[int] = []
-            for obj, targets in zip(objects, target_indices_lists):
-                values, computed = self._values_for(
-                    obj, self.index_of(obj), np.asarray(targets, dtype=int)
-                )
-                values_list.append(values)
-                counts.append(computed)
-            return values_list, counts
-
-        ensure_parallel_safe(self.counting)
-        inner, counters = split_counting(self.counting)
-        values_list = []
-        counts = []
-        plans: List[Tuple[Optional[int], List[Tuple[int, int]], Dict[int, int], List[int], List[Tuple[int, int]]]] = []
-        items = []
-        # Pairs another query in this call will already compute: deferred
-        # positions read the merged store afterwards instead of duplicating
-        # the work, so counts and cache contents match the serial path
-        # (where an earlier query's results are visible to later ones).
-        in_flight: set = set()
-        for qi, (obj, targets) in enumerate(zip(objects, target_indices_lists)):
-            targets = np.asarray(targets, dtype=int)
-            values = np.empty(targets.size, dtype=float)
-            query_index = self.index_of(obj)
-            pending: List[Tuple[int, int]] = []
-            deferred: List[Tuple[int, int]] = []
-            miss_slot: Dict[int, int] = {}
-            miss_targets: List[int] = []
-            if query_index is None:
-                # No stable key: compute everything, cache nothing.
-                miss_targets = [int(j) for j in targets]
-                pending = [(pos, int(j)) for pos, j in enumerate(targets)]
-            else:
-                for pos, j in enumerate(targets):
-                    j = int(j)
-                    cached = self.store.get(query_index, j)
-                    if cached is not None:
-                        values[pos] = cached
-                        continue
-                    if j in miss_slot:
-                        pending.append((pos, j))
-                        continue
-                    key = self.store._key(query_index, j)
-                    if key in in_flight:
-                        deferred.append((pos, j))
-                        continue
-                    in_flight.add(key)
-                    miss_slot[j] = len(miss_targets)
-                    miss_targets.append(j)
-                    pending.append((pos, j))
-            if miss_targets:
-                items.append((qi, obj, 0, np.asarray(miss_targets, dtype=int)))
-            values_list.append(values)
-            counts.append(len(miss_targets))
-            plans.append((query_index, pending, miss_slot, miss_targets, deferred))
-
-        computed_this_call: Dict[Tuple[int, int], float] = {}
-        if items:
-            by_query = parallel_refine(
-                inner, [self.objects], items, n_workers,
-                pool=self._pool_for(n_workers),
-            )
-            total_computed = 0
-            for qi, (query_index, pending, miss_slot, miss_targets, _deferred) in enumerate(
-                plans
-            ):
-                if not miss_targets:
-                    continue
-                fresh = np.asarray(by_query[qi], dtype=float)
-                total_computed += len(miss_targets)
-                if query_index is None:
-                    for pos, _j in pending:
-                        values_list[qi][pos] = fresh[pos]
-                    continue
-                for j, slot in miss_slot.items():
-                    value = float(fresh[slot])
-                    self.store.put(query_index, j, value)
-                    computed_this_call[self.store._key(query_index, j)] = value
-                # Fill from the computed batch (eviction-safe, see
-                # _values_for).
-                for pos, j in pending:
-                    values_list[qi][pos] = float(fresh[miss_slot[j]])
-            for counter in counters:
-                counter.calls += total_computed
-        # Deferred pairs were computed under another query's plan and are in
-        # the store now (free for this query, like a serial store hit); a
-        # bounded store may have evicted them again, so fall back to the
-        # values recorded for this call.
-        for qi, (query_index, _pending, _miss_slot, _miss_targets, deferred) in enumerate(
-            plans
-        ):
-            for pos, j in deferred:
-                cached = self.store.get(query_index, j)
-                if cached is None:
-                    cached = computed_this_call[self.store._key(query_index, j)]
-                values_list[qi][pos] = cached
-        return values_list, counts
+            # One query at a time: an earlier query's fresh pairs are store
+            # hits for the later ones.
+            done = [
+                self._resolve_now(obj, targets)
+                for obj, targets in zip(objects, target_indices_lists)
+            ]
+        else:
+            ensure_parallel_safe(self.counting)
+            # A pair an earlier query of this call already computes is
+            # deferred onto it (free for the later query, like a store hit
+            # in the serial path), so counts and store contents match the
+            # serial path.  Owners precede their dependents, so completing
+            # in order fills every deferred pair.
+            in_flight: Dict[Tuple[int, int], PendingDistances] = {}
+            pendings = [
+                self.resolve_distances(obj, targets, in_flight=in_flight)
+                for obj, targets in zip(objects, target_indices_lists)
+            ]
+            fresh = self._evaluate(pendings, n_workers)
+            done = [
+                self.complete_distances(pending, values, in_flight=in_flight)
+                for pending, values in zip(pendings, fresh)
+            ]
+        return [values for values, _ in done], [spent for _, spent in done]
 
     # -- split resolution (async serving primitives) ---------------------
-
-    def miss_objects(self, pending: PendingDistances) -> List[Any]:
-        """The universe objects behind a resolution's missing targets."""
-        return [self.objects[j] for j in pending.miss_targets]
 
     def resolve_distances(
         self,
@@ -1190,17 +1127,21 @@ class DistanceContext(DistanceMeasure):
             pending.miss_targets = [int(j) for j in targets]
             pending.pending = [(pos, int(j)) for pos, j in enumerate(targets)]
             return pending
+        query_index = pending.query_index
+        values = pending.values
+        miss_slot = pending.miss_slot
+        get = self.store.get
         for pos, j in enumerate(targets):
             j = int(j)
-            cached = self.store.get(pending.query_index, j)
+            cached = get(query_index, j)
             if cached is not None:
-                pending.values[pos] = cached
+                values[pos] = cached
                 continue
-            if j in pending.miss_slot:
+            if j in miss_slot:
                 pending.pending.append((pos, j))
                 continue
-            key = self.store._key(pending.query_index, j)
             if in_flight is not None:
+                key = self.store._key(query_index, j)
                 owner = in_flight.get(key)
                 if owner is not None and not owner.completed:
                     owner.dependents += 1
@@ -1208,7 +1149,7 @@ class DistanceContext(DistanceMeasure):
                     continue
                 in_flight[key] = pending
                 pending.owned_keys.append(key)
-            pending.miss_slot[j] = len(pending.miss_targets)
+            miss_slot[j] = len(pending.miss_targets)
             pending.miss_targets.append(j)
             pending.pending.append((pos, j))
         return pending
@@ -1222,9 +1163,10 @@ class DistanceContext(DistanceMeasure):
         """Fold freshly computed miss values back in; return ``(values, spent)``.
 
         ``fresh`` must hold one value per ``pending.miss_targets`` entry,
-        evaluated with the *base* measure (workers evaluate the inner
-        measure; this method charges the context's counter one evaluation
-        per pair, exactly like the pooled paths).  Resolutions this one
+        evaluated with the *inner* measure (see :meth:`worker_measure`);
+        this method charges every counter — the context's and any
+        caller-supplied :class:`~repro.distances.base.CountingDistance` —
+        one evaluation per pair, on every path.  Resolutions this one
         deferred onto must have been completed first; pairs whose owner
         was force-released without delivering are evaluated here directly
         and included in the returned ``spent`` count, so the per-query
@@ -1247,12 +1189,14 @@ class DistanceContext(DistanceMeasure):
                 for j, slot in pending.miss_slot.items():
                     value = float(fresh[slot])
                     self.store.put(query_index, j, value)
-                    pending.computed[self.store._key(query_index, j)] = value
+                    if pending.dependents:
+                        pending.computed[self.store._key(query_index, j)] = value
                 # Fill from the computed batch, not the store: a bounded
                 # store may already have evicted the earliest entries.
                 for pos, j in pending.pending:
                     pending.values[pos] = float(fresh[pending.miss_slot[j]])
-            self.counting.calls += len(pending.miss_targets)
+            for counter in self._counters:
+                counter.calls += len(pending.miss_targets)
         fallback_evaluations = 0
         for pos, j, owner in pending.deferred:
             cached = self.store.get(query_index, j)
@@ -1419,8 +1363,7 @@ class DistanceContext(DistanceMeasure):
         rows_with_work = [r for r in range(n_rows) if missing_by_row[r]]
         n_workers = resolve_jobs(self.n_jobs if n_jobs is None else n_jobs)
         if n_workers > 1 and len(rows_with_work) > 1:
-            ensure_parallel_safe(self.counting)
-            inner, counters = split_counting(self.counting)
+            # parallel_refine charges the counters one evaluation per pair.
             items = [
                 (
                     r,
@@ -1431,19 +1374,15 @@ class DistanceContext(DistanceMeasure):
                 for r in rows_with_work
             ]
             by_row = parallel_refine(
-                inner, [self.objects], items, n_workers,
+                self.counting, [self.objects], items, n_workers,
                 pool=self._pool_for(n_workers),
             )
-            computed = 0
             for r in rows_with_work:
                 fresh = np.asarray(by_row[r], dtype=float)
-                computed += fresh.size
                 i = int(row_idx[r])
                 for c, value in zip(missing_by_row[r], fresh):
                     matrix[r, c] = float(value)
                     entries.append((i, int(col_idx[c]), float(value)))
-            for counter in counters:
-                counter.calls += computed
             if progress is not None:
                 progress(n_rows, n_rows)
         else:
@@ -1498,7 +1437,7 @@ class DistanceContext(DistanceMeasure):
             unknown_positions = list(range(len(ys)))
         values = np.empty(len(ys), dtype=float)
         if known_positions:
-            cached, _ = self._values_for(x, i, np.asarray(known_indices, dtype=int))
+            cached, _ = self._resolve_now(x, known_indices)
             values[known_positions] = cached
         if unknown_positions:
             values[unknown_positions] = self.counting.compute_many(
@@ -1540,7 +1479,8 @@ class DistanceContext(DistanceMeasure):
             fresh = self.counting.compute_pairs(miss_xs, miss_ys)
             for key, slot in miss_slot.items():
                 self.store.put(key[0], key[1], float(fresh[slot]))
-            # Fill from the computed batch (eviction-safe, see _values_for).
+            # Fill from the computed batch (eviction-safe, see
+            # complete_distances).
             for pos, (i, j) in pending:
                 values[pos] = float(fresh[miss_slot[self.store._key(i, j)]])
         if unknown_positions:

@@ -12,7 +12,8 @@ way:
   before the measure is shipped to workers (:func:`split_counting`); workers
   evaluate the inner measure and the parent process charges each peeled
   counter one evaluation per computed pair, exactly as the serial path
-  would have.
+  would have.  :func:`parallel_refine` does both itself, so a refine caller
+  hands it the counted measure.
 * **Caching** — a :class:`~repro.distances.base.CachedDistance` keyed by
   object identity (the default ``key=id``) is rejected up front
   (:func:`ensure_parallel_safe`): workers unpickle *copies* of every object,
@@ -340,10 +341,11 @@ def parallel_refine(
     Parameters
     ----------
     distance:
-        The measure to evaluate in the workers.  Callers are expected to have
-        already peeled parent-side counters with :func:`split_counting` and
-        validated the chain with :func:`ensure_parallel_safe`; the parent
-        charges the peeled counters itself (one evaluation per candidate).
+        The measure to evaluate.  The chain is checked with
+        :func:`ensure_parallel_safe`; top-level counters are peeled with
+        :func:`split_counting`, the workers evaluate the inner measure, and
+        each peeled counter is charged one evaluation per candidate in the
+        parent (up front, like ``CountingDistance.compute_many``).
     shards:
         Per-shard object lists, installed once per worker.
     items:
@@ -359,7 +361,12 @@ def parallel_refine(
     """
     from repro.index.pool import WORKER_FAILURES
 
+    ensure_parallel_safe(distance)
+    distance, counters = split_counting(distance)
     item_list = list(items)
+    spent = sum(len(item[3]) for item in item_list)
+    for counter in counters:
+        counter.calls += spent
     chunks = row_chunks(len(item_list), n_workers)
     payloads = [[item_list[i] for i in chunk] for chunk in chunks]
     results: Dict[Any, np.ndarray] = {}

@@ -55,14 +55,13 @@ import numpy as np
 
 from repro.distances.context import PendingDistances
 from repro.distances.parallel import (
-    ensure_parallel_safe,
     refine_chunk_task,
     refine_state_signature,
     resolve_jobs,
-    split_counting,
 )
 from repro.exceptions import RetrievalError, ServingError, ServingTimeout
 from repro.index.pool import WORKER_FAILURES
+from repro.retrieval.context_binding import ContextBinding
 from repro.retrieval.engine import (
     QueryEngine,
     RetrievalResult,
@@ -133,7 +132,6 @@ class QueryTicket:
         self.allow_partial = bool(allow_partial)
         self._max_retries = max_retries
         self._k_eff = 0
-        self._p_eff = 0
         self._embedding_cost = 0
         self._merge = True
         self._refine_stage: Optional[Any] = None
@@ -464,7 +462,6 @@ class AsyncServer:
             plan = engine.make_plan([obj], k, p, n_jobs=effective_jobs, single=True)
             engine.prepare(plan)
             ticket._k_eff = plan.k_eff
-            ticket._p_eff = plan.p_eff
             ticket._embedding_cost = plan.embedding_cost
             ticket._merge = engine.merge is not None
             # Capture the refine stage now: a set_backend between submit
@@ -474,7 +471,7 @@ class AsyncServer:
             ticket._candidates = candidates
             ticket._exact = np.empty(candidates.shape[0], dtype=float)
             binding = engine.refine.binding
-            if binding is None:
+            if not isinstance(binding, ContextBinding):
                 raise RetrievalError(
                     "async serving requires a context-backed backend (an "
                     "EmbeddingIndex always builds one)"
@@ -519,8 +516,7 @@ class AsyncServer:
         pool = self._context._pool_for(n_workers) if n_workers > 1 else None
         if pool is None:
             return
-        ensure_parallel_safe(self._context.counting)
-        inner, _counters = split_counting(self._context.counting)
+        inner = self._context.worker_measure()
         shards = [self._context.objects]
         items = []
         if len(groups_with_misses) == 1:
@@ -613,8 +609,7 @@ class AsyncServer:
                         ticket._exact[group.positions] = values
                     if group.shard_id is not None and stage.shard_evaluations is not None:
                         stage.shard_evaluations[group.shard_id] += spent
-                if stage.binding is not None:
-                    stage.binding.calls += spent_total
+                stage.binding.calls += spent_total
                 ticket._result = self._build_result(ticket, spent_total)
                 ticket._state = "done"
         except ServingTimeout:
@@ -701,7 +696,6 @@ class AsyncServer:
                 candidates,
                 exact,
                 min(ticket._k_eff, candidates.shape[0]),
-                ticket._p_eff,
                 ticket._embedding_cost,
                 refine_cost=0,
                 partial=True,
@@ -710,14 +704,12 @@ class AsyncServer:
             ticket._event.set()
 
     def _inline_group(self, ticket: QueryTicket, group: _Group) -> np.ndarray:
-        """Serial refine of one group's misses, bit-identical to a worker's."""
-        inner, _counters = split_counting(self._context.counting)
-        return np.asarray(
-            inner.compute_many(
-                ticket.obj, self._context.miss_objects(group.pending)
-            ),
-            dtype=float,
-        )
+        """Serial refine of one group's misses, bit-identical to a worker's.
+
+        The context's own evaluate step (uncharged: ``complete_distances``
+        charges every counter, like the pooled path).
+        """
+        return np.asarray(self._context._evaluate([group.pending])[0], dtype=float)
 
     def _collect(
         self, ticket: QueryTicket, end: Optional[float] = None
@@ -791,7 +783,6 @@ class AsyncServer:
                 ticket._candidates,
                 ticket._exact,
                 ticket._k_eff,
-                ticket._p_eff,
                 ticket._embedding_cost,
                 refine_cost=spent,
             )

@@ -561,7 +561,7 @@ class RemoteShardedBackend:
     ) -> int:
         """Charge one streamed refine entry against the parent's own store.
 
-        Mirrors ``DistanceContext._values_for`` exactly: a registered
+        Mirrors the context's resolve/complete step exactly: a registered
         query's cached pairs are free, missing pairs are charged once and
         installed with the streamed distance (keeping the parent store
         bit-identical to a purely local run); an unregistered query

@@ -19,9 +19,10 @@ import numpy as np
 from repro.core.model import QuerySensitiveModel
 from repro.core.training_data import make_sampler
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
+from repro.distances.base import DistanceMeasure
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import RetrievalError
+from repro.retrieval.context_binding import NominalBinding
 from repro.retrieval.engine import MergeStage, QueryPlan, RefineStage, stable_smallest
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -54,12 +55,11 @@ class DynamicDatabase:
         self.objects: List[Any] = []
         # The refine/merge stages are shared with every other retrieval
         # pipeline, so tie-breaking and accounting cannot drift from them.
-        # ``bind=False``: the database mutates, so a frozen context binding
-        # would be invalid — exact distances always go through the stage's
-        # counting wrapper.
-        self._refine = RefineStage(distance, self.objects, bind=False)
+        # The database mutates, so a context binding (which freezes the
+        # position → universe mapping) would go stale: the binding is the
+        # nominal one over the live ``objects`` list, every pair charged.
+        self._refine = RefineStage(NominalBinding(distance, self.objects))
         self._merge = MergeStage()
-        self._counting = self._refine.counting
         self._vectors: List[np.ndarray] = []
         self.insertion_distance_computations = 0
         for obj in initial_objects or []:

@@ -19,10 +19,11 @@ plan`` step over a shared :class:`QueryPlan`:
 * :class:`ScanStage` — the degenerate "filter" of brute force: every
   database position is a candidate;
 * :class:`RefineStage` — evaluate the exact distances from each query to
-  its candidates, through a shared
-  :class:`~repro.distances.context.DistanceContext` store when one is
-  bound (cached pairs are free) and over worker processes when ``n_jobs``
-  asks for them, with the library's exact cost-accounting rules;
+  its candidates through one binding
+  (:mod:`repro.retrieval.context_binding`): a shared
+  :class:`~repro.distances.context.DistanceContext` store (cached pairs
+  are free) or a plain measure (every pair charged), over worker processes
+  when ``n_jobs`` asks for them;
 * :class:`MergeStage` — order the refined candidates (ties by database
   index, the brute-force-identical order) into
   :class:`RetrievalResult` objects.
@@ -61,16 +62,10 @@ import numpy as np
 
 from repro.core.model import QuerySensitiveModel
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
-from repro.distances.parallel import (
-    ensure_parallel_safe,
-    parallel_refine,
-    resolve_jobs,
-    split_counting,
-)
+from repro.distances.base import DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
-from repro.retrieval.context_binding import ContextBinding, bind_context
+from repro.retrieval.context_binding import Binding, bind_context
 from repro.retrieval.quantized import QuantizedVectors, quantized_filter_cut
 
 __all__ = [
@@ -198,17 +193,17 @@ def build_retrieval_result(
     candidates: np.ndarray,
     exact: np.ndarray,
     k_eff: int,
-    p_eff: int,
     embedding_cost: int,
-    refine_cost: Optional[int] = None,
+    refine_cost: int,
     partial: bool = False,
 ) -> "RetrievalResult":
     """Assemble a :class:`RetrievalResult` from refined candidate distances.
 
     Shared by every pipeline configuration so the neighbor ordering and
-    cost accounting can never diverge between paths.  ``refine_cost``
-    defaults to the nominal ``p``; context-backed pipelines pass the number
-    of evaluations actually performed (cached pairs are free).  ``partial``
+    cost accounting can never diverge between paths.  ``refine_cost`` is
+    always the number of evaluations the refine actually performed: ``p``
+    for a plain measure (every pair is charged), fewer through a shared
+    store (cached pairs are free).  ``partial``
     marks a deadline-expired serving result ranked over the candidates
     that were resolved in time (see :meth:`EmbeddingIndex.submit`).
     """
@@ -218,9 +213,7 @@ def build_retrieval_result(
         neighbor_distances=exact[order],
         candidate_indices=candidates,
         embedding_distance_computations=int(embedding_cost),
-        refine_distance_computations=int(
-            p_eff if refine_cost is None else refine_cost
-        ),
+        refine_distance_computations=int(refine_cost),
         partial=partial,
     )
 
@@ -341,8 +334,8 @@ class QueryPlan:
     #: Per-query per-shard refine routing (sharded pipelines only).
     shard_work: Optional[List[List[ShardWork]]] = None
     exact_lists: List[np.ndarray] = field(default_factory=list)
-    #: Evaluations actually performed per query (``None`` = nominal ``p``).
-    refine_costs: List[Optional[int]] = field(default_factory=list)
+    #: Evaluations actually performed per query.
+    refine_costs: List[int] = field(default_factory=list)
     results: List[RetrievalResult] = field(default_factory=list)
     #: Per-stage wall-clock seconds and evaluation counters, filled by
     #: :meth:`QueryEngine.run` (and partially by :meth:`QueryEngine.prepare`).
@@ -585,35 +578,24 @@ class ScanStage:
 class RefineStage:
     """Evaluate exact distances from each query to its filter candidates.
 
-    One object owns the pipeline's exact-distance access: the
-    :class:`~repro.retrieval.context_binding.ContextBinding` (store-backed,
-    cached pairs free) or the :class:`CountingDistance` wrapper (plain
-    measures, nominal cost), plus every ``n_jobs`` fan-out rule.  All three
-    retrievers and the async serving layer refine through this stage, so
-    accounting can never drift between them.
+    One object owns the pipeline's exact-distance access: a binding from
+    :func:`~repro.retrieval.context_binding.bind_context` — a
+    :class:`~repro.retrieval.context_binding.ContextBinding` (shared store,
+    cached pairs free) or a
+    :class:`~repro.retrieval.context_binding.NominalBinding` (plain
+    measure, every pair charged).  Both return the values together with
+    the evaluations actually performed, which become the per-query
+    ``refine_cost``, and both apply the ``n_jobs`` fan-out rules, so the
+    stage never branches on the kind of measure.  All three retrievers and
+    the async serving layer refine through this stage, so accounting can
+    never drift between them.
     """
 
     stat_name = "refine"
 
-    def __init__(
-        self,
-        distance: DistanceMeasure,
-        database: Dataset,
-        shards: Optional[Sequence[Any]] = None,
-        bind: bool = True,
-    ) -> None:
-        self.database = database
+    def __init__(self, binding: Binding, shards: Optional[Sequence[Any]] = None) -> None:
+        self.binding = binding
         self.shards = list(shards) if shards is not None else None
-        # ``bind=False`` forces plain counting mode even for a context:
-        # a ContextBinding freezes the database→universe index mapping at
-        # construction, which a mutable database (DynamicDatabase) would
-        # silently invalidate.
-        self._binding: Optional[ContextBinding] = (
-            bind_context(distance, database) if bind else None
-        )
-        self._counting: Optional[CountingDistance] = (
-            None if self._binding is not None else CountingDistance(distance)
-        )
         #: Exact evaluations routed to each shard so far (sharded pipelines;
         #: store hits are free on the context-backed path).  This is the
         #: per-shard hit-rate signal a store-aware placement policy reads.
@@ -627,195 +609,69 @@ class RefineStage:
             np.zeros(len(self.shards), dtype=int) if self.shards is not None else None
         )
 
-    # -- accounting ------------------------------------------------------
-
     @property
-    def binding(self) -> Optional[ContextBinding]:
-        """The context binding, when refining through a shared store."""
-        return self._binding
-
-    @property
-    def counting(self) -> Optional[CountingDistance]:
-        """The counting wrapper, when refining a plain measure."""
-        return self._counting
+    def database(self) -> Sequence[Any]:
+        """The database the candidate positions index."""
+        return self.binding.database
 
     @property
     def calls(self) -> int:
         """Exact evaluations performed by this stage so far."""
-        if self._binding is not None:
-            return self._binding.calls
-        return self._counting.calls
+        return self.binding.calls
 
     def reset(self) -> None:
         """Reset the evaluation counter."""
-        if self._binding is not None:
-            self._binding.calls = 0
-        else:
-            self._counting.reset()
-
-    # -- running ---------------------------------------------------------
+        self.binding.calls = 0
 
     def run(self, plan: QueryPlan) -> QueryPlan:
         """Evaluate exact distances for each query's candidate list."""
         if not plan.objects:
             plan.exact_lists = []
             plan.refine_costs = []
-            return plan
-        if self.shards is not None and plan.shard_work is not None:
-            if self._binding is not None:
-                self._run_sharded_context(plan)
-            else:
-                self._run_sharded_counting(plan)
+        elif self.shards is not None and plan.shard_work is not None:
+            self._run_sharded(plan)
         else:
-            if self._binding is not None:
-                self._run_flat_context(plan)
-            else:
-                self._run_flat_counting(plan)
+            exact_lists, spent = self.binding.distances_to_many(
+                plan.objects, plan.candidate_lists, n_jobs=plan.n_jobs
+            )
+            plan.exact_lists = list(exact_lists)
+            plan.refine_costs = list(spent)
         return plan
 
-    # -- flat (unsharded) paths -----------------------------------------
+    def _run_sharded(self, plan: QueryPlan) -> None:
+        """Per-(query, shard) refine groups, scattered back into filter order.
 
-    def _run_flat_context(self, plan: QueryPlan) -> None:
-        if plan.single:
-            exact, spent = self._binding.distances_to(
-                plan.objects[0], plan.candidate_lists[0]
-            )
-            plan.exact_lists = [exact]
-            plan.refine_costs = [spent]
-            return
-        # The context resolves store hits in the parent and pools only the
-        # missing (query, candidate) pairs; per-query refine cost is the
-        # number of evaluations actually performed.
-        exact_lists, computed = self._binding.distances_to_many(
-            plan.objects, plan.candidate_lists, n_jobs=plan.n_jobs
-        )
-        plan.exact_lists = [np.asarray(exact, dtype=float) for exact in exact_lists]
-        plan.refine_costs = list(computed)
-
-    def _run_flat_counting(self, plan: QueryPlan) -> None:
-        objects = plan.objects
-        n_workers = resolve_jobs(plan.n_jobs)
-        if not plan.single and n_workers > 1 and len(objects) > 1:
-            ensure_parallel_safe(self._counting)
-            inner, counters = split_counting(self._counting)
-            items = [
-                (qi, obj, 0, candidates)
-                for qi, (obj, candidates) in enumerate(
-                    zip(objects, plan.candidate_lists)
-                )
-            ]
-            exact_by_query = parallel_refine(
-                inner, [list(self.database)], items, n_workers
-            )
-            for counting in counters:
-                counting.calls += plan.p_eff * len(objects)
-            plan.exact_lists = [
-                np.asarray(exact_by_query[qi], dtype=float)
-                for qi in range(len(objects))
-            ]
-        else:
-            plan.exact_lists = [
-                np.asarray(
-                    self._counting.compute_many(
-                        obj, [self.database[int(i)] for i in candidates]
-                    ),
-                    dtype=float,
-                )
-                for obj, candidates in zip(objects, plan.candidate_lists)
-            ]
-        plan.refine_costs = [None] * len(objects)
-
-    # -- sharded paths ---------------------------------------------------
-
-    def _run_sharded_context(self, plan: QueryPlan) -> None:
-        """Store-aware per-(query, shard) refine through the shared store.
-
-        Work is grouped query-major, then shard by shard: the context
-        resolves each group's store hits in the parent and evaluates only
-        the missing pairs, so a shard whose pairs are fully cached performs
+        Work is grouped query-major, then shard by shard: through a shared
+        store each group resolves its hits in the parent and evaluates only
+        its missing pairs, so a shard whose pairs are fully cached performs
         zero exact evaluations (recorded in :attr:`shard_evaluations`).
         Grouping cannot change results or per-query costs — a query's
         candidates are unique and shard ranges are disjoint, so the groups
-        partition exactly the pairs the ungrouped call would resolve.
+        partition exactly the pairs the ungrouped call would resolve.  A
+        single query refines its groups in the parent; a batch fans them
+        out when ``n_jobs`` asks for workers.
         """
-        objects = plan.objects
+        groups = [
+            (qi, sid, positions)
+            for qi, work in enumerate(plan.shard_work)
+            for sid, _local, positions in work
+        ]
+        values_list, spent_list = self.binding.distances_to_many(
+            [plan.objects[qi] for qi, _sid, _positions in groups],
+            [plan.candidate_lists[qi][positions] for qi, _sid, positions in groups],
+            n_jobs=1 if plan.single else plan.n_jobs,
+        )
         plan.exact_lists = [
             np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
         ]
-        plan.refine_costs = [0] * len(objects)
-        if plan.single:
-            # Preserve the serial scalar path of the original per-query
-            # code: one store-resolved evaluation batch per shard group.
-            obj = objects[0]
-            candidates = plan.candidate_lists[0]
-            for sid, _local, positions in plan.shard_work[0]:
-                values, spent = self._binding.distances_to(
-                    obj, candidates[positions]
-                )
-                plan.exact_lists[0][positions] = values
-                plan.refine_costs[0] += spent
-                self.shard_evaluations[sid] += spent
-                self.shard_routed[sid] += positions.size
-            return
-        flat_keys: List[Tuple[int, int, np.ndarray]] = []
-        flat_objects: List[Any] = []
-        flat_targets: List[np.ndarray] = []
-        for qi, (obj, work) in enumerate(zip(objects, plan.shard_work)):
-            for sid, _local, positions in work:
-                flat_keys.append((qi, sid, positions))
-                flat_objects.append(obj)
-                flat_targets.append(plan.candidate_lists[qi][positions])
-        values_list, computed = self._binding.distances_to_many(
-            flat_objects, flat_targets, n_jobs=plan.n_jobs
-        )
+        plan.refine_costs = [0] * len(plan.objects)
         for (qi, sid, positions), values, spent in zip(
-            flat_keys, values_list, computed
+            groups, values_list, spent_list
         ):
             plan.exact_lists[qi][positions] = values
             plan.refine_costs[qi] += spent
             self.shard_evaluations[sid] += spent
             self.shard_routed[sid] += positions.size
-
-    def _run_sharded_counting(self, plan: QueryPlan) -> None:
-        objects = plan.objects
-        shards = self.shards
-        plan.exact_lists = [
-            np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
-        ]
-        plan.refine_costs = [None] * len(objects)
-        n_workers = resolve_jobs(plan.n_jobs)
-        n_units = (
-            len(plan.shard_work[0])
-            if plan.single
-            else len(objects) * len(shards)
-        )
-        if n_workers > 1 and n_units > 1:
-            ensure_parallel_safe(self._counting)
-            inner, counters = split_counting(self._counting)
-            items = [
-                ((qi, sid), obj, sid, local)
-                for qi, (obj, work) in enumerate(zip(objects, plan.shard_work))
-                for sid, local, _ in work
-            ]
-            by_key: Dict[Any, np.ndarray] = parallel_refine(
-                inner, [shard.objects for shard in shards], items, n_workers
-            )
-            for counting in counters:
-                counting.calls += int(plan.p_eff) * len(objects)
-            for qi, work in enumerate(plan.shard_work):
-                for sid, local, positions in work:
-                    plan.exact_lists[qi][positions] = by_key[(qi, sid)]
-                    self.shard_evaluations[sid] += int(local.size)
-                    self.shard_routed[sid] += int(local.size)
-        else:
-            for qi, (obj, work) in enumerate(zip(objects, plan.shard_work)):
-                for sid, local, positions in work:
-                    shard = shards[sid]
-                    plan.exact_lists[qi][positions] = self._counting.compute_many(
-                        obj, [shard.objects[int(i)] for i in local]
-                    )
-                    self.shard_evaluations[sid] += int(local.size)
-                    self.shard_routed[sid] += int(local.size)
 
 
 class MergeStage:
@@ -830,7 +686,6 @@ class MergeStage:
                 candidates,
                 exact,
                 plan.k_eff,
-                plan.p_eff,
                 plan.embedding_cost,
                 refine_cost=cost,
             )
@@ -917,7 +772,7 @@ class QueryEngine:
         return cls(
             embed=EmbedStage(embedder),
             filter=FilterStage(embedder, database_vectors, quantized=quantized),
-            refine=RefineStage(distance, database),
+            refine=RefineStage(bind_context(distance, database)),
             merge=MergeStage(),
             n_database=len(database),
         )
@@ -935,7 +790,7 @@ class QueryEngine:
         return cls(
             embed=EmbedStage(embedder),
             filter=ShardedFilterStage(embedder, shards, quantized=quantized),
-            refine=RefineStage(distance, database, shards=shards),
+            refine=RefineStage(bind_context(distance, database), shards=shards),
             merge=MergeStage(),
             n_database=len(database),
         )
@@ -952,7 +807,7 @@ class QueryEngine:
         return cls(
             embed=None,
             filter=ScanStage(len(database)),
-            refine=RefineStage(distance, database),
+            refine=RefineStage(bind_context(distance, database)),
             merge=None,
             n_database=len(database),
         )

@@ -56,29 +56,17 @@ import numpy as np
 
 from repro.core.model import QuerySensitiveModel
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
+from repro.distances.base import DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
-from repro.retrieval.engine import (
-    QueryEngine,
-    RetrievalResult,
-    build_retrieval_result,
-    clamp_query_params,
-    filter_vector_distances,
-    refine_order,
-    stable_smallest,
-)
+from repro.retrieval.engine import QueryEngine, RetrievalResult, stable_smallest
 from repro.retrieval.quantized import QuantizedVectors
 
 __all__ = ["FilterRefineRetriever", "RetrievalResult"]
 
-# Backwards-compatible aliases: these helpers started life as this module's
-# private functions and are imported elsewhere under their old names.
+# Backwards-compatible alias: the stable cut started life as this module's
+# private function and is still imported under its old name.
 _stable_smallest = stable_smallest
-_clamp_query_params = clamp_query_params
-_filter_distances = filter_vector_distances
-_refine_order = refine_order
-_build_retrieval_result = build_retrieval_result
 
 
 class FilterRefineRetriever:
@@ -176,14 +164,6 @@ class FilterRefineRetriever:
         return self.embedder.cost
 
     @property
-    def _binding(self):
-        return self.engine.refine.binding
-
-    @property
-    def _refine_distance(self) -> Optional[CountingDistance]:
-        return self.engine.refine.counting
-
-    @property
     def refine_distance_evaluations(self) -> int:
         """Total exact distances spent refining, across all queries so far.
 
@@ -211,8 +191,8 @@ class FilterRefineRetriever:
         """Retrieve the approximate ``k`` nearest neighbors of ``obj``.
 
         The refine step evaluates all ``p`` exact distances in one batched
-        ``compute_many`` call (the counting wrapper charges exactly ``p``
-        evaluations, as in the scalar path).
+        call through the refine stage's binding: a plain measure is charged
+        exactly ``p`` evaluations, a shared store only its misses.
 
         Parameters
         ----------

@@ -584,22 +584,15 @@ class PlannedRetriever:
                 self.engine.filter.cut(vector, min(n, max(k_max, DEFAULT_P_MIN)))
             quantized_seconds = time.perf_counter() - t0
 
-        refine = self.engine.refine
+        binding = self.engine.refine.binding
         all_positions = np.arange(n)
         rows: List[np.ndarray] = []
         spent_total = 0
         t0 = time.perf_counter()
         for obj in probes:
-            if refine.binding is not None:
-                values, spent = refine.binding.distances_to(obj, all_positions)
-            else:
-                values = np.asarray(
-                    refine.counting.compute_many(obj, list(self.database)),
-                    dtype=float,
-                )
-                spent = n
-            rows.append(np.asarray(values, dtype=float))
-            spent_total += int(spent)
+            values, spent = binding.distances_to(obj, all_positions)
+            rows.append(values)
+            spent_total += spent
         refine_seconds = time.perf_counter() - t0
 
         ground_truth = knn_from_distances(np.vstack(rows), k_max)
@@ -833,9 +826,8 @@ class PlannedRetriever:
                 candidates[:chosen],
                 exact,
                 k_eff,
-                chosen,
                 embedding_cost,
-                refine_cost=charged if refine.binding is not None else None,
+                refine_cost=charged,
             )
             result.stats = {
                 **decision,
@@ -894,22 +886,14 @@ class PlannedRetriever:
                 for sid, _local, positions in self._shard_split(block):
                     values, spent = binding.distances_to(obj, block[positions])
                     block_values[positions] = values
-                    charged += int(spent)
-                    refine.shard_evaluations[sid] += int(spent)
+                    charged += spent
+                    refine.shard_evaluations[sid] += spent
                     refine.shard_routed[sid] += int(positions.size)
                 exact[done:target] = block_values
-            elif binding is not None:
+            else:
                 values, spent = binding.distances_to(obj, block)
                 exact[done:target] = values
-                charged += int(spent)
-            else:
-                exact[done:target] = np.asarray(
-                    refine.counting.compute_many(
-                        obj, [self.database[int(i)] for i in block]
-                    ),
-                    dtype=float,
-                )
-                charged += int(block.size)
+                charged += spent
             done = target
             order = refine_order(exact[:done], candidates[:done], k_eff)
             top = candidates[:done][order]

@@ -46,11 +46,11 @@ plus exactly ``p`` to refine, regardless of the shard count.
 
 Parallelism and accounting
 --------------------------
-``n_jobs`` fans the refine work out over a process pool — per shard for
-:meth:`ShardedRetriever.query`, per (query, shard) pair for
-:meth:`ShardedRetriever.query_many` — through
-:func:`repro.distances.parallel.parallel_refine`.  Accounting follows the
-matrix builders' rule: top-level
+``n_jobs`` fans the refine work of :meth:`ShardedRetriever.query_many`
+out over a process pool, one unit per (query, shard) pair, through the
+refine stage's binding (:mod:`repro.retrieval.context_binding`); a single
+:meth:`ShardedRetriever.query` refines its shard groups in the parent.
+Accounting follows the matrix builders' rule: top-level
 :class:`~repro.distances.base.CountingDistance` wrappers stay in the parent
 and are charged one evaluation per refined candidate (so per-query counts
 are identical to the serial path), workers receive the inner measure, and an
@@ -88,7 +88,7 @@ import numpy as np
 
 from repro.core.model import QuerySensitiveModel
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
+from repro.distances.base import DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
 from repro.retrieval.engine import QueryEngine, RetrievalResult
@@ -225,14 +225,6 @@ class ShardedRetriever:
         return self.embedder.cost
 
     @property
-    def _binding(self):
-        return self.engine.refine.binding
-
-    @property
-    def _refine_distance(self) -> Optional[CountingDistance]:
-        return self.engine.refine.counting
-
-    @property
     def refine_distance_evaluations(self) -> int:
         """Total exact distances spent refining, across all queries so far.
 
@@ -332,8 +324,8 @@ class ShardedRetriever:
 
         ``k`` and ``p`` are clamped exactly like the unsharded retriever
         (``p`` into ``[min(k, n), n]``), so exactly ``min(k, n)`` neighbors
-        come back.  With ``n_jobs > 1`` the per-shard refine batches fan out
-        over a process pool.
+        come back.  The per-shard refine groups run in the parent; ``n_jobs``
+        only matters for :meth:`query_many`.
         """
         return self.engine.query(
             obj, k, p, n_jobs=self.n_jobs if n_jobs is None else n_jobs

@@ -163,9 +163,10 @@ def run_sweep(
     values, results in query order.  Every point is bit-identical —
     neighbors, tie order and per-query accounting — to a fixed-``p``
     ``query_many`` run started from the store state the sweep began with:
-    on a context-backed ``distance`` each point's ``refine_cost`` is the
-    cumulative evaluations its prefix actually missed (exactly what the
-    fixed run would have been charged), and this equals the adaptive
+    each point's ``refine_cost`` is the cumulative evaluations its prefix
+    actually performed (``p`` for a plain measure, the missed pairs on a
+    context-backed ``distance`` — exactly what the fixed run would have
+    been charged), and this equals the adaptive
     planner's charge at its chosen ``p'`` — the parity the sweep tests
     assert.
     """
@@ -189,7 +190,7 @@ def run_sweep(
         else database_vectors,
     )
     n = engine.n_database
-    refine = engine.refine
+    binding = engine.refine.binding
     results: Dict[int, List[RetrievalResult]] = {p: [] for p in ps_clean}
     _, p_max_eff = clamp_query_params(k, ps_clean[-1], n)
     for obj in queries:
@@ -201,28 +202,17 @@ def run_sweep(
         for p in ps_clean:
             k_eff, p_eff = clamp_query_params(k, p, n)
             if p_eff > done:
-                block = candidates[done:p_eff]
-                if refine.binding is not None:
-                    values, spent = refine.binding.distances_to(obj, block)
-                    exact[done:p_eff] = values
-                    charged += int(spent)
-                else:
-                    exact[done:p_eff] = np.asarray(
-                        refine.counting.compute_many(
-                            obj, [database[int(i)] for i in block]
-                        ),
-                        dtype=float,
-                    )
-                    charged += int(block.size)
+                values, spent = binding.distances_to(obj, candidates[done:p_eff])
+                exact[done:p_eff] = values
+                charged += spent
                 done = p_eff
             results[p].append(
                 build_retrieval_result(
                     candidates[:p_eff],
                     exact[:p_eff],
                     k_eff,
-                    p_eff,
                     engine.embed.cost,
-                    refine_cost=charged if refine.binding is not None else None,
+                    refine_cost=charged,
                 )
             )
     return results

@@ -19,6 +19,7 @@ import pytest
 import time
 
 from repro import (
+    CountingDistance,
     EmbeddingIndex,
     IndexConfig,
     L2Distance,
@@ -253,6 +254,34 @@ class TestFailureIsolation:
         assert spent == len(second.miss_targets) + 2
         assert spent == context.distance_evaluations
         assert not in_flight
+
+
+class TestCallerCounter:
+    """A caller's ``CountingDistance`` is charged alike on every serving path."""
+
+    @pytest.mark.parametrize("path", ["query", "query_many", "submit", "stream"])
+    def test_caller_counter_matches_context(self, path):
+        dataset = make_gaussian_clusters(n_objects=200, seed=0)
+        split = RetrievalSplit.from_dataset(dataset, n_queries=8, seed=1)
+        counter = CountingDistance(L2Distance())
+        index = EmbeddingIndex.build(
+            counter,
+            split.database,
+            IndexConfig(n_jobs=1, training=TrainingConfig(n_rounds=4)),
+        )
+        queries = list(split.queries)
+        serve = {
+            "query": lambda: [index.query(q, 3, 20) for q in queries],
+            "query_many": lambda: index.query_many(queries, 3, 20),
+            "submit": lambda: [index.submit(q, 3, 20).result() for q in queries],
+            "stream": lambda: [r for _pos, r in index.stream(queries, 3, 20)],
+        }[path]
+        counter_before = counter.calls
+        context_before = index.distance_evaluations
+        serve()
+        spent = index.distance_evaluations - context_before
+        assert spent > 0
+        assert counter.calls - counter_before == spent
 
 
 class TestAqueryMany:

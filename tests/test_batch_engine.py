@@ -486,9 +486,9 @@ class TestBatchedRetrieval:
         retriever = FilterRefineRetriever(
             L2Distance(), gaussian_split.database, trained_qs.model
         )
-        before = retriever._refine_distance.calls
+        before = retriever.refine_distance_evaluations
         result = retriever.query(gaussian_split.queries[0], k=3, p=12)
-        assert retriever._refine_distance.calls - before == 12
+        assert retriever.refine_distance_evaluations - before == 12
         assert result.refine_distance_computations == 12
         assert result.neighbor_indices.shape == (3,)
 

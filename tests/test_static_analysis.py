@@ -176,7 +176,7 @@ def test_rp002_flags_raw_compute_in_retrieval(tmp_path):
     assert "accounting" in findings[0].message
 
 
-def test_rp002_allows_counting_context_and_split_counting(tmp_path):
+def test_rp002_allows_counting_and_context_flags_split_counting(tmp_path):
     findings = lint_snippet(
         tmp_path,
         """
@@ -190,7 +190,10 @@ def test_rp002_allows_counting_context_and_split_counting(tmp_path):
         name="src/repro/retrieval/ok.py",
         rule_ids=["RP002"],
     )
-    assert findings == []
+    # Retrieval code refines through a binding; a split_counting product
+    # evaluated there bypasses it, so only that call is flagged.
+    assert rule_ids(findings) == ["RP002"]
+    assert "inner.compute_many" in findings[0].message
 
 
 def test_rp002_does_not_apply_outside_retrieval_and_serving(tmp_path):
